@@ -219,8 +219,7 @@ class SuperblockState
     }
 
     /**
-     * Retarget the stats sink. Stats are kept per *core* (so leased
-     * cores never write a shared counter block); a thread that
+     * Retarget the stats sink. Stats are kept per core; a thread that
      * migrates re-binds to its new core's block on install.
      */
     void setStats(SuperblockStats *stats) { stats_ = stats; }

@@ -8,9 +8,10 @@
  * timing, same context-switch count, same trace record stream, same
  * end tick. Each scenario here is shaped after one of the published
  * experiments (overflow storms, futex-heavy sync, region-attributed
- * phases, fault injection) and is run under both schedulers via
- * BundleOptions::batched; the whole observable machine state is then
- * compared field by field.
+ * phases, fault injection, thread migration, the OLTP sleeper convoy)
+ * and is run under both schedulers via BundleOptions::batched — the
+ * last two also with the superblock replay cache off and on; the
+ * whole observable machine state is then compared field by field.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "sim/machine.hh"
 #include "sync/mutex.hh"
 #include "trace/trace.hh"
+#include "workloads/oltp.hh"
 
 namespace limit {
 namespace {
@@ -326,6 +328,124 @@ TEST(BatchEquivalence, BatchedRunsAmortizeSchedulerRounds)
     perop.machine().run();
     // The reference loop is one op per round, by definition.
     EXPECT_EQ(perop.machine().batchOps(), perop.machine().batchRounds());
+}
+
+// ---------------------------------------------------------------------
+// Three-mode cross-checks: per-op vs batched vs superblock replay
+// ---------------------------------------------------------------------
+
+/** An execution mode a scenario is cross-checked over. */
+struct Mode
+{
+    bool batched;
+    bool superblocks;
+    const char *name;
+};
+
+constexpr Mode kModes[] = {
+    {false, false, "per-op"},
+    {true, false, "batched"},
+    {true, true, "superblock"},
+};
+
+/** Run `make` in every mode and compare each against the per-op run. */
+template <typename MakeFn>
+void
+crossCheck(MakeFn make)
+{
+    const Fingerprint ref = make(kModes[0]);
+    for (const Mode &m : kModes) {
+        if (&m == &kModes[0])
+            continue;
+        SCOPED_TRACE(m.name);
+        expectIdentical(make(m), ref);
+    }
+}
+
+/**
+ * Migration-heavy shape: unpinned threads sleep and wake onto whichever
+ * core is idle, so each hops cores (re-binding its superblock state to
+ * the new core's stats) between short compute/load bursts, interleaved
+ * with a yield-heavy bystander.
+ */
+Fingerprint
+runMigrationMix(const Mode &mode)
+{
+    analysis::SimBundle b(analysis::BundleOptions::builder()
+                              .cores(3)
+                              .quantum(8'000)
+                              .seed(41)
+                              .batched(mode.batched)
+                              .superblocks(mode.superblocks)
+                              .traceCapacity(1 << 13)
+                              .build());
+
+    for (unsigned i = 0; i < 5; ++i) {
+        b.kernel().spawn(
+            "hopper" + std::to_string(i), [](Guest &g) -> Task<void> {
+                for (unsigned s = 0; s < 100; ++s) {
+                    co_await g.compute(200 + g.rng().below(300));
+                    co_await g.load(0x500000 + g.rng().below(1 << 12) * 8);
+                    co_await g.syscall(
+                        os::sysSleep,
+                        {1 + g.rng().below(2'500), 0, 0, 0});
+                }
+            });
+    }
+    b.kernel().spawn("bystander", [](Guest &g) -> Task<void> {
+        for (unsigned s = 0; s < 400; ++s) {
+            co_await g.compute(90);
+            if (s % 10 == 0)
+                co_await g.syscall(os::sysYield);
+        }
+    });
+    const sim::Tick end = b.machine().run();
+    return collect(b, end);
+}
+
+TEST(BatchEquivalence, MigrationMixBitIdentical)
+{
+    crossCheck(runMigrationMix);
+}
+
+/**
+ * Regression scenario for the poll-ordering contract (E5's shape).
+ * When every core is idle, Kernel::poll(maxTick) wakes exactly ONE
+ * sleeper and the per-op loop runs that thread's first round before
+ * polling again — so when several wake deadlines are due together,
+ * wakes and first ops strictly alternate. A loop that re-polls before
+ * running the re-derived pick delivers the later wakes first and
+ * drifts off the oracle schedule. OLTP client threads block on futexes
+ * with convoyed sleep deadlines, so the machine drains to fully idle
+ * many times per run with multiple wakes pending. No tracer here — the
+ * server allocates its locks per run, and futex tracepoints record
+ * host addresses — so the fingerprint is ledgers/PMU/switches only.
+ */
+Fingerprint
+runOltpConvoy(const Mode &mode)
+{
+    analysis::SimBundle b(analysis::BundleOptions::builder()
+                              .cores(4)
+                              .seed(1)
+                              .batched(mode.batched)
+                              .superblocks(mode.superblocks)
+                              .build());
+    workloads::OltpConfig cfg;
+    cfg.clients = 6;
+    cfg.readRatio = 0.5;
+    workloads::OltpServer oltp(b.machine(), b.kernel(), cfg, 1234);
+    oltp.spawn();
+    const sim::Tick end = b.run(4'000'000);
+    Fingerprint fp = collect(b, end);
+    // A schedule drift that somehow kept every ledger identical would
+    // still have to keep the commit count identical.
+    fp.ledgers.push_back(oltp.committed());
+    return fp;
+}
+
+TEST(BatchEquivalence, OltpConvoyBitIdentical)
+{
+    crossCheck(runOltpConvoy);
 }
 
 } // namespace
