@@ -7,10 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace limit::analysis {
@@ -53,139 +55,6 @@ class SigintDrainScope
     void (*prev_)(int) = SIG_DFL;
 };
 
-// ---------------------------------------------------------------- JSON
-
-/** Escape a string for a JSON string literal. */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Consume a JSON string literal's body starting after the opening
- * quote; true on success with `pos` one past the closing quote.
- * Handles exactly the escapes jsonEscape emits.
- */
-bool
-jsonUnescape(const std::string &line, std::size_t &pos, std::string &out)
-{
-    out.clear();
-    while (pos < line.size()) {
-        const char c = line[pos];
-        if (c == '"') {
-            ++pos;
-            return true;
-        }
-        if (c == '\\') {
-            if (pos + 1 >= line.size())
-                return false;
-            const char e = line[pos + 1];
-            pos += 2;
-            switch (e) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 'u': {
-                if (pos + 4 > line.size())
-                    return false;
-                unsigned v = 0;
-                for (unsigned k = 0; k < 4; ++k) {
-                    const char h = line[pos + k];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                if (v > 0xff)
-                    return false; // jsonEscape only emits control bytes
-                pos += 4;
-                out += static_cast<char>(v);
-                break;
-              }
-              default:
-                return false;
-            }
-        } else {
-            out += c;
-            ++pos;
-        }
-    }
-    return false; // unterminated
-}
-
-/** Consume `expect` at `pos`; true and advance on match. */
-bool
-consume(const std::string &line, std::size_t &pos, std::string_view expect)
-{
-    if (line.compare(pos, expect.size(), expect) != 0)
-        return false;
-    pos += expect.size();
-    return true;
-}
-
-/** Consume a decimal uint64 at `pos`. */
-bool
-consumeUint(const std::string &line, std::size_t &pos, std::uint64_t &out)
-{
-    if (pos >= line.size() || line[pos] < '0' || line[pos] > '9')
-        return false;
-    out = 0;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        out = out * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-        ++pos;
-    }
-    return true;
-}
-
 // ---------------------------------------------------------------- journal
 
 /** One journaled completion. */
@@ -196,41 +65,49 @@ struct JournalRecord
     unsigned attempts = 1;
 };
 
+/** One job record as the journal stores it, without the newline. */
+std::string
+jobRecordLine(const std::string &config, std::uint64_t job,
+              guard::ExecMode mode, unsigned attempts,
+              std::string_view value)
+{
+    std::ostringstream os;
+    os << "{\"rec\":\"job\",\"config\":\"" << json::escape(config)
+       << "\",\"job\":" << job << ",\"mode\":\"" << guard::modeName(mode)
+       << "\",\"attempts\":" << attempts << ",\"value\":\""
+       << json::escape(value) << "\"}";
+    return os.str();
+}
+
 /**
- * Parse one journal line. Strict: anything that doesn't match the
- * schema exactly — including a torn final line from a crash mid-write
- * — is ignored rather than trusted.
+ * Parse one journal line. Strict: a line is trusted only when its
+ * fields re-encode to exactly its own bytes under `config`, so a torn
+ * line, another config, an unknown mode, a missing, extra or
+ * reordered key, or a number that overflows its field is ignored
+ * rather than trusted.
  */
 bool
 parseJournalLine(const std::string &line, const std::string &config,
                  std::uint64_t &job, JournalRecord &rec)
 {
-    std::size_t pos = 0;
-    if (!consume(line, pos, "{\"rec\":\"job\",\"config\":\""))
+    json::Value v;
+    if (!json::parse(line, v))
         return false;
-    if (!consume(line, pos, config) || !consume(line, pos, "\",\"job\":"))
+    const json::Value *jobField = v.find("job");
+    const json::Value *mode = v.find("mode");
+    const json::Value *attempts = v.find("attempts");
+    const json::Value *value = v.find("value");
+    std::uint64_t tries = 0;
+    if (jobField == nullptr || !jobField->asUint(job) ||
+        mode == nullptr || !guard::parseMode(mode->text, rec.mode) ||
+        attempts == nullptr || !attempts->asUint(tries) ||
+        tries > std::numeric_limits<unsigned>::max() ||
+        value == nullptr || value->kind != json::Value::Kind::String)
         return false;
-    if (!consumeUint(line, pos, job))
-        return false;
-    if (!consume(line, pos, ",\"mode\":\""))
-        return false;
-    const std::size_t modeEnd = line.find('"', pos);
-    if (modeEnd == std::string::npos)
-        return false;
-    if (!guard::parseMode(line.substr(pos, modeEnd - pos), rec.mode))
-        return false;
-    pos = modeEnd + 1;
-    if (!consume(line, pos, ",\"attempts\":"))
-        return false;
-    std::uint64_t attempts = 0;
-    if (!consumeUint(line, pos, attempts))
-        return false;
-    rec.attempts = static_cast<unsigned>(attempts);
-    if (!consume(line, pos, ",\"value\":\""))
-        return false;
-    if (!jsonUnescape(line, pos, rec.value))
-        return false;
-    return consume(line, pos, "}") && pos == line.size();
+    rec.attempts = static_cast<unsigned>(tries);
+    rec.value = value->text;
+    return line ==
+           jobRecordLine(config, job, rec.mode, rec.attempts, rec.value);
 }
 
 /**
@@ -277,7 +154,7 @@ class JournalWriter
         if (size == 0) {
             std::ostringstream os;
             os << "{\"rec\":\"campaign\",\"schema\":\"limitpp-journal"
-               << "-v1\",\"config\":\"" << config
+               << "-v1\",\"config\":\"" << json::escape(config)
                << "\",\"jobs\":" << jobs << "}\n";
             writeAll(os.str());
         }
@@ -296,14 +173,10 @@ class JournalWriter
     append(const std::string &config, std::size_t job,
            const JobOutcome &outcome)
     {
-        std::ostringstream os;
-        os << "{\"rec\":\"job\",\"config\":\"" << config
-           << "\",\"job\":" << job << ",\"mode\":\""
-           << guard::modeName(outcome.mode)
-           << "\",\"attempts\":" << outcome.attempts << ",\"value\":\""
-           << jsonEscape(outcome.value) << "\"}\n";
+        const std::string line = jobRecordLine(
+            config, job, outcome.mode, outcome.attempts, outcome.value);
         std::lock_guard<std::mutex> lock(mutex_);
-        writeAll(os.str());
+        writeAll(line + '\n');
     }
 
   private:

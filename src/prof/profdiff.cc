@@ -7,219 +7,13 @@
 #include <sstream>
 #include <vector>
 
+#include "base/json.hh"
+
 namespace limit::prof {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough for the reports this repo writes.
-// ---------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0;
-    std::string text;
-    std::vector<JsonValue> items;
-    /** Insertion-ordered (report keys are ordered on purpose). */
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue *
-    find(std::string_view key) const
-    {
-        for (const auto &[k, v] : members) {
-            if (k == key)
-                return &v;
-        }
-        return nullptr;
-    }
-};
-
-struct Parser
-{
-    std::string_view in;
-    std::size_t pos = 0;
-    std::string error;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty()) {
-            error = what + " at offset " + std::to_string(pos);
-        }
-        return false;
-    }
-
-    void
-    ws()
-    {
-        while (pos < in.size() &&
-               (in[pos] == ' ' || in[pos] == '\t' || in[pos] == '\n' ||
-                in[pos] == '\r')) {
-            ++pos;
-        }
-    }
-
-    bool
-    consume(char c)
-    {
-        ws();
-        if (pos >= in.size() || in[pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos < in.size() && in[pos] != '"') {
-            char c = in[pos++];
-            if (c == '\\') {
-                if (pos >= in.size())
-                    return fail("truncated escape");
-                char e = in[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    if (pos + 4 > in.size())
-                        return fail("truncated \\u escape");
-                    unsigned v = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = in[pos++];
-                        v <<= 4;
-                        if (h >= '0' && h <= '9')
-                            v |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            v |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            v |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    // Reports only escape control chars; encode the
-                    // code point as UTF-8 without surrogate handling.
-                    if (v < 0x80) {
-                        out += static_cast<char>(v);
-                    } else if (v < 0x800) {
-                        out += static_cast<char>(0xC0 | (v >> 6));
-                        out += static_cast<char>(0x80 | (v & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (v >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((v >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (v & 0x3F));
-                    }
-                    break;
-                  }
-                  default: return fail("unknown escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (pos >= in.size())
-            return fail("unterminated string");
-        ++pos;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        ws();
-        if (pos >= in.size())
-            return fail("unexpected end of input");
-        const char c = in[pos];
-        if (c == '{') {
-            ++pos;
-            out.kind = JsonValue::Kind::Object;
-            ws();
-            if (pos < in.size() && in[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return false;
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                out.members.emplace_back(std::move(key), std::move(v));
-                ws();
-                if (pos < in.size() && in[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            out.kind = JsonValue::Kind::Array;
-            ws();
-            if (pos < in.size() && in[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                out.items.push_back(std::move(v));
-                ws();
-                if (pos < in.size() && in[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                return consume(']');
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.text);
-        }
-        if (in.compare(pos, 4, "true") == 0) {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            pos += 4;
-            return true;
-        }
-        if (in.compare(pos, 5, "false") == 0) {
-            out.kind = JsonValue::Kind::Bool;
-            pos += 5;
-            return true;
-        }
-        if (in.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            return true;
-        }
-        // Number.
-        const char *start = in.data() + pos;
-        char *end = nullptr;
-        out.number = std::strtod(start, &end);
-        if (end == start)
-            return fail("bad value");
-        out.kind = JsonValue::Kind::Number;
-        pos += static_cast<std::size_t>(end - start);
-        return true;
-    }
-};
+using json::Value;
 
 // ---------------------------------------------------------------------
 // Flattening
@@ -241,14 +35,14 @@ sanitize(const std::string &s)
  * across reports regardless of position shifts.
  */
 std::string
-elementLabel(const JsonValue &v, std::size_t index)
+elementLabel(const Value &v, std::size_t index)
 {
-    if (v.kind != JsonValue::Kind::Object)
+    if (v.kind != Value::Kind::Object)
         return std::to_string(index);
     std::string label;
     for (const char *key : {"name", "axis", "class", "site", "region"}) {
-        if (const JsonValue *f = v.find(key);
-            f && f->kind == JsonValue::Kind::String) {
+        if (const Value *f = v.find(key);
+            f && f->kind == Value::Kind::String) {
             if (!label.empty())
                 label += ':';
             label += sanitize(f->text);
@@ -257,8 +51,8 @@ elementLabel(const JsonValue &v, std::size_t index)
     for (const char *key :
          {"addr", "core", "tid", "nr", "waiter", "param",
           "first_slice"}) {
-        if (const JsonValue *f = v.find(key);
-            f && f->kind == JsonValue::Kind::Number) {
+        if (const Value *f = v.find(key);
+            f && f->kind == Value::Kind::Number) {
             if (!label.empty())
                 label += ':';
             label += key;
@@ -274,37 +68,37 @@ elementLabel(const JsonValue &v, std::size_t index)
 }
 
 bool
-isHistogram(const JsonValue &v)
+isHistogram(const Value &v)
 {
-    return v.kind == JsonValue::Kind::Object &&
+    return v.kind == Value::Kind::Object &&
            v.find("bucket_bits") != nullptr &&
            v.find("buckets") != nullptr;
 }
 
 bool
-isTimelineSection(const JsonValue &v)
+isTimelineSection(const Value &v)
 {
-    return v.kind == JsonValue::Kind::Object &&
+    return v.kind == Value::Kind::Object &&
            v.find("cores") != nullptr && v.find("events") != nullptr &&
            v.find("interval_ticks") != nullptr;
 }
 
-void flatten(const JsonValue &v, const std::string &prefix,
+void flatten(const Value &v, const std::string &prefix,
              std::map<std::string, double> &out);
 
 /** Collapse a timeline section's slice matrix to per-event totals. */
 void
-flattenTimeline(const JsonValue &v, const std::string &prefix,
+flattenTimeline(const Value &v, const std::string &prefix,
                 std::map<std::string, double> &out)
 {
     std::vector<std::string> events;
     for (const auto &e : v.find("events")->items)
         events.push_back(sanitize(e.text));
-    const JsonValue *cores = v.find("cores");
+    const Value *cores = v.find("cores");
     std::vector<double> total(events.size(), 0.0);
     for (const auto &core : cores->items) {
-        const JsonValue *id = core.find("core");
-        const JsonValue *slices = core.find("slices");
+        const Value *id = core.find("core");
+        const Value *slices = core.find("slices");
         if (!id || !slices)
             continue;
         std::vector<double> coreTotal(events.size(), 0.0);
@@ -332,14 +126,14 @@ flattenTimeline(const JsonValue &v, const std::string &prefix,
 }
 
 void
-flatten(const JsonValue &v, const std::string &prefix,
+flatten(const Value &v, const std::string &prefix,
         std::map<std::string, double> &out)
 {
     switch (v.kind) {
-      case JsonValue::Kind::Number:
+      case Value::Kind::Number:
         out[prefix] = v.number;
         return;
-      case JsonValue::Kind::String: {
+      case Value::Kind::String: {
         // Meta values are strings even when numeric; surface the
         // parseable ones so meta counters diff too.
         const char *start = v.text.c_str();
@@ -349,11 +143,11 @@ flatten(const JsonValue &v, const std::string &prefix,
             out[prefix] = d;
         return;
       }
-      case JsonValue::Kind::Object: {
+      case Value::Kind::Object: {
         if (isHistogram(v)) {
             for (const char *key : {"count", "sum", "min", "max"}) {
-                if (const JsonValue *f = v.find(key);
-                    f && f->kind == JsonValue::Kind::Number) {
+                if (const Value *f = v.find(key);
+                    f && f->kind == Value::Kind::Number) {
                     out[prefix + "." + key] = f->number;
                 }
             }
@@ -375,7 +169,7 @@ flatten(const JsonValue &v, const std::string &prefix,
         }
         return;
       }
-      case JsonValue::Kind::Array: {
+      case Value::Kind::Array: {
         for (std::size_t i = 0; i < v.items.size(); ++i) {
             flatten(v.items[i],
                     prefix + "." + elementLabel(v.items[i], i), out);
@@ -390,18 +184,13 @@ flatten(const JsonValue &v, const std::string &prefix,
 } // namespace
 
 bool
-flattenReportJson(std::string_view json,
+flattenReportJson(std::string_view text,
                   std::map<std::string, double> &out, std::string *error)
 {
-    Parser p;
-    p.in = json;
-    JsonValue root;
-    if (!p.parseValue(root)) {
-        if (error)
-            *error = p.error;
+    Value root;
+    if (!json::parse(text, root, error))
         return false;
-    }
-    if (root.kind != JsonValue::Kind::Object) {
+    if (root.kind != Value::Kind::Object) {
         if (error)
             *error = "report root is not a JSON object";
         return false;

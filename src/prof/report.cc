@@ -6,42 +6,17 @@
 #include <cstdio>
 #include <sstream>
 
+#include "base/json.hh"
 #include "os/sysno.hh"
 
 namespace limit::prof {
 
 namespace {
 
-/** Escape a string for a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 std::string
 quoted(const std::string &s)
 {
-    return '"' + jsonEscape(s) + '"';
+    return '"' + json::escape(s) + '"';
 }
 
 std::string

@@ -15,6 +15,7 @@
 
 #include "analysis/bundle.hh"
 #include "analysis/campaign.hh"
+#include "base/json.hh"
 #include "fault/plan.hh"
 #include "guard/fingerprint.hh"
 #include "guard/sentinel.hh"
@@ -229,6 +230,19 @@ TEST(SentinelTest, CorruptReplayIsDetectedAndQuarantined)
     EXPECT_FALSE(reports[0].trail.empty());
     EXPECT_NE(s.reportJson().find("\"schema\": \"limitpp-divergence-v1\""),
               std::string::npos);
+    // The report reads back with the repository's JSON reader.
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(s.reportJson(), doc, &err)) << err;
+    ASSERT_NE(doc.find("divergences"), nullptr);
+    const auto &divs = doc.find("divergences")->items;
+    ASSERT_EQ(divs.size(), 1u);
+    std::uint64_t job = 1;
+    EXPECT_TRUE(divs[0].find("job")->asUint(job));
+    EXPECT_EQ(job, 0u);
+    EXPECT_EQ(divs[0].find("fast")->text, "superblock");
+    EXPECT_EQ(divs[0].find("quarantined")->text, "batched");
+    EXPECT_FALSE(divs[0].find("trail")->items.empty());
 
     // ...and the quarantined (batched) mode agrees with the oracle:
     // the degradation genuinely routed around the corruption.

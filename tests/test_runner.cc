@@ -19,11 +19,13 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/args.hh"
 #include "analysis/bundle.hh"
 #include "analysis/campaign.hh"
 #include "analysis/runner.hh"
+#include "base/json.hh"
 #include "os/sysno.hh"
 #include "sim/machine.hh"
 #include "sim/pmu.hh"
@@ -285,6 +287,27 @@ TEST(CampaignTest, JournalRoundTripAcrossWorkerCounts)
     EXPECT_NE(header.find("limitpp-journal-v1"), std::string::npos);
     EXPECT_NE(header.find(opts.configFingerprint), std::string::npos);
 
+    // Header and job records read back with the repository's JSON
+    // reader.
+    json::Value rec;
+    std::string err;
+    ASSERT_TRUE(json::parse(header, rec, &err)) << err;
+    EXPECT_EQ(rec.find("rec")->text, "campaign");
+    EXPECT_EQ(rec.find("config")->text, opts.configFingerprint);
+    std::uint64_t n = 0;
+    EXPECT_TRUE(rec.find("jobs")->asUint(n));
+    EXPECT_EQ(n, 6u);
+    std::vector<bool> seen(6, false);
+    for (std::string line; std::getline(in, line);) {
+        ASSERT_TRUE(json::parse(line, rec, &err)) << err << ": " << line;
+        EXPECT_EQ(rec.find("rec")->text, "job");
+        ASSERT_TRUE(rec.find("job")->asUint(n));
+        ASSERT_LT(n, 6u);
+        seen[n] = true;
+        EXPECT_EQ(rec.find("value")->text, first.jobs[n].value);
+    }
+    EXPECT_EQ(seen, std::vector<bool>(6, true));
+
     // Resume with a different worker count: every job comes from the
     // journal, values bit-identical, nothing re-runs.
     opts.jobs = 4;
@@ -332,6 +355,15 @@ TEST(CampaignTest, StatusFileHeartbeatReachesFinishedState)
     EXPECT_NE(line.find("\"failed\":0"), std::string::npos);
     EXPECT_NE(line.find("\"finished\":true"), std::string::npos);
     EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(line, doc, &err)) << err;
+    std::uint64_t done = 0;
+    EXPECT_TRUE(doc.find("done")->asUint(done));
+    EXPECT_EQ(done, 5u);
+    EXPECT_TRUE(doc.find("finished")->boolean);
+    EXPECT_EQ(doc.find("modes")->kind, json::Value::Kind::Object);
     std::remove(path.c_str());
 }
 
@@ -430,6 +462,99 @@ TEST(CampaignTest, MismatchedConfigFingerprintIgnoresTheJournal)
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.resumedJobs, 0u);
     EXPECT_EQ(fresh.load(), 3u);
+    std::remove(path.c_str());
+}
+
+namespace campaign_jobs {
+
+/** A newline-terminated job record for `config`, numbers given raw. */
+std::string
+journalLine(const std::string &config, const std::string &job,
+            const std::string &mode, const std::string &attempts)
+{
+    return "{\"rec\":\"job\",\"config\":\"" + config + "\",\"job\":" +
+           job + ",\"mode\":\"" + mode + "\",\"attempts\":" + attempts +
+           ",\"value\":\"journaled\"}\n";
+}
+
+/** Resume a two-job campaign from a journal holding exactly `text`. */
+analysis::CampaignResult
+resumeFrom(const std::string &path, const std::string &config,
+           const std::string &text)
+{
+    {
+        std::ofstream out(path, std::ios::trunc | std::ios::binary);
+        out << text;
+    }
+    analysis::CampaignOptions opts;
+    opts.journalPath = path;
+    opts.resume = true;
+    opts.configFingerprint = config;
+    return analysis::Campaign(opts).run(2, job);
+}
+
+} // namespace campaign_jobs
+
+TEST(CampaignTest, JournalNumbersThatOverflowAreNotResumed)
+{
+    const std::string path =
+        ::testing::TempDir() + "limitpp_journal_overflow.jsonl";
+    const std::string config = analysis::configHash("journal-overflow");
+    using campaign_jobs::journalLine;
+
+    // Control: the same records with in-range numbers do resume.
+    EXPECT_EQ(campaign_jobs::resumeFrom(
+                  path, config,
+                  journalLine(config, "0", "superblock", "1") +
+                      journalLine(config, "1", "superblock", "1"))
+                  .resumedJobs,
+              2u);
+
+    // A job index of 2^64 must not wrap to job 0, nor 2^32 + 1
+    // attempts truncate to 1.
+    const analysis::CampaignResult r = campaign_jobs::resumeFrom(
+        path, config,
+        journalLine(config, "18446744073709551616", "superblock", "1") +
+            journalLine(config, "1", "superblock", "4294967297"));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.resumedJobs, 0u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(r.jobs[i].value, campaign_jobs::job(i)) << i;
+    std::remove(path.c_str());
+}
+
+TEST(CampaignTest, JournalRecordsOffTheSchemaAreNotResumed)
+{
+    const std::string path =
+        ::testing::TempDir() + "limitpp_journal_schema.jsonl";
+    const std::string config = analysis::configHash("journal-schema");
+    const std::string head = "{\"rec\":\"job\",\"config\":\"" + config;
+    EXPECT_EQ(campaign_jobs::resumeFrom(
+                  path, config,
+                  campaign_jobs::journalLine(config, "0", "per-op", "1"))
+                  .resumedJobs,
+              1u);
+
+    const std::string offSchema[] = {
+        // unknown mode
+        campaign_jobs::journalLine(config, "0", "warp", "1"),
+        // missing key
+        head + "\",\"job\":0,\"mode\":\"per-op\",\"value\":\"x\"}\n",
+        // extra key
+        head + "\",\"job\":0,\"mode\":\"per-op\",\"attempts\":1,"
+               "\"value\":\"x\",\"extra\":1}\n",
+        // reordered keys
+        head + "\",\"mode\":\"per-op\",\"job\":0,\"attempts\":1,"
+               "\"value\":\"x\"}\n",
+        // value that is not a string
+        head + "\",\"job\":0,\"mode\":\"per-op\",\"attempts\":1,"
+               "\"value\":1}\n",
+    };
+    for (const std::string &line : offSchema) {
+        EXPECT_EQ(campaign_jobs::resumeFrom(path, config, line).resumedJobs,
+                  0u)
+            << line;
+    }
     std::remove(path.c_str());
 }
 

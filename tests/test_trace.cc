@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,6 +16,7 @@
 #include "analysis/bundle.hh"
 #include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
+#include "base/json.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "trace/exporter.hh"
@@ -29,155 +29,15 @@ namespace {
 using trace::TraceEvent;
 using trace::TraceRecord;
 
-// --- minimal JSON well-formedness checker ------------------------------
-//
-// Recursive descent over the grammar, keeping no values: enough to
-// prove the exporter emits JSON a real parser would accept, without
-// adding a JSON library dependency.
-
-bool jsonValue(std::string_view s, std::size_t &pos);
-
-void
-jsonWs(std::string_view s, std::size_t &pos)
-{
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos])))
-        ++pos;
-}
-
-bool
-jsonString(std::string_view s, std::size_t &pos)
-{
-    if (pos >= s.size() || s[pos] != '"')
-        return false;
-    ++pos;
-    while (pos < s.size() && s[pos] != '"') {
-        if (s[pos] == '\\') {
-            if (pos + 1 >= s.size())
-                return false;
-            ++pos;
-        }
-        ++pos;
-    }
-    if (pos >= s.size())
-        return false;
-    ++pos; // closing quote
-    return true;
-}
-
-bool
-jsonNumber(std::string_view s, std::size_t &pos)
-{
-    const std::size_t start = pos;
-    if (pos < s.size() && s[pos] == '-')
-        ++pos;
-    bool digits = false;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-            s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-            s[pos] == '+' || s[pos] == '-')) {
-        digits = digits ||
-                 std::isdigit(static_cast<unsigned char>(s[pos]));
-        ++pos;
-    }
-    return digits && pos > start;
-}
-
-bool
-jsonObject(std::string_view s, std::size_t &pos)
-{
-    ++pos; // '{'
-    jsonWs(s, pos);
-    if (pos < s.size() && s[pos] == '}') {
-        ++pos;
-        return true;
-    }
-    while (true) {
-        jsonWs(s, pos);
-        if (!jsonString(s, pos))
-            return false;
-        jsonWs(s, pos);
-        if (pos >= s.size() || s[pos] != ':')
-            return false;
-        ++pos;
-        if (!jsonValue(s, pos))
-            return false;
-        jsonWs(s, pos);
-        if (pos >= s.size())
-            return false;
-        if (s[pos] == ',') {
-            ++pos;
-            continue;
-        }
-        if (s[pos] == '}') {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-}
-
-bool
-jsonArray(std::string_view s, std::size_t &pos)
-{
-    ++pos; // '['
-    jsonWs(s, pos);
-    if (pos < s.size() && s[pos] == ']') {
-        ++pos;
-        return true;
-    }
-    while (true) {
-        if (!jsonValue(s, pos))
-            return false;
-        jsonWs(s, pos);
-        if (pos >= s.size())
-            return false;
-        if (s[pos] == ',') {
-            ++pos;
-            continue;
-        }
-        if (s[pos] == ']') {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-}
-
-bool
-jsonLiteral(std::string_view s, std::size_t &pos, std::string_view lit)
-{
-    if (s.substr(pos, lit.size()) != lit)
-        return false;
-    pos += lit.size();
-    return true;
-}
-
-bool
-jsonValue(std::string_view s, std::size_t &pos)
-{
-    jsonWs(s, pos);
-    if (pos >= s.size())
-        return false;
-    switch (s[pos]) {
-      case '{': return jsonObject(s, pos);
-      case '[': return jsonArray(s, pos);
-      case '"': return jsonString(s, pos);
-      case 't': return jsonLiteral(s, pos, "true");
-      case 'f': return jsonLiteral(s, pos, "false");
-      case 'n': return jsonLiteral(s, pos, "null");
-      default: return jsonNumber(s, pos);
-    }
-}
-
-bool
+/** The document parses with the repository's JSON reader. */
+::testing::AssertionResult
 jsonWellFormed(std::string_view s)
 {
-    std::size_t pos = 0;
-    if (!jsonValue(s, pos))
-        return false;
-    jsonWs(s, pos);
-    return pos == s.size();
+    json::Value v;
+    std::string err;
+    if (json::parse(s, v, &err))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << err;
 }
 
 TraceRecord
@@ -375,7 +235,18 @@ TEST(Exporter, ChromeTraceJsonIsWellFormed)
     trace::writeChromeTrace(out, t, &m, opts);
     const std::string json = out.str();
 
-    EXPECT_TRUE(jsonWellFormed(json)) << json;
+    // Well-formed, and the embedded metrics read back with their values.
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(json, doc, &err)) << err << "\n" << json;
+    const json::Value *metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    std::uint64_t count = 0;
+    ASSERT_NE(metrics->find("x.count"), nullptr);
+    EXPECT_TRUE(metrics->find("x.count")->asUint(count));
+    EXPECT_EQ(count, 3u);
+    ASSERT_NE(metrics->find("y.gauge"), nullptr);
+    EXPECT_DOUBLE_EQ(metrics->find("y.gauge")->number, 1.5);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"context-switch\""), std::string::npos);
     // The syscall-name hook decodes sysYield for syscall events.
