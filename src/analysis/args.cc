@@ -20,7 +20,8 @@ usage(const char *prog, const BenchDefaults &defaults,
         out,
         "usage: %s [--seeds N] [--jobs N] [--trace FILE] "
         "[--trace-cap N] [--faults SPEC] [--profile] "
-        "[--profile-out FILE] [--job-timeout S] [--journal FILE] "
+        "[--profile-out FILE] [--no-batch] [--no-superblock] "
+        "[--job-timeout S] [--journal FILE] "
         "[--resume] [--sentinel] [--sentinel-every N] "
         "[--timeline FILE] [--timeline-interval N] "
         "[--status-file FILE]\n"

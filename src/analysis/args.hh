@@ -179,9 +179,9 @@ BenchParse tryParseBenchArgs(int argc, char **argv,
                              BenchDefaults defaults);
 
 /**
- * Parse --seeds/--jobs/--trace/--trace-cap/--faults from argv,
- * starting from the given defaults. Prints usage and exits(0) on
- * --help/-h; prints an error and exits(2) on unknown flags or
+ * Parse the shared bench flags (all of them listed by `--help`) from
+ * argv, starting from the given defaults. Prints usage and exits(0)
+ * on --help/-h; prints an error and exits(2) on unknown flags or
  * malformed values. `what_seeds` is the one-line meaning of --seeds
  * shown in --help (nullptr for the generic wording).
  */

@@ -1,7 +1,6 @@
 #include "guard/sentinel.hh"
 
 #include <cstdio>
-#include <ctime>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -9,15 +8,6 @@
 namespace limit::guard {
 
 namespace {
-
-std::uint64_t
-threadCpuNs()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
 
 thread_local ProbeScope *activeProbe = nullptr;
 
@@ -101,7 +91,6 @@ Sentinel::check(std::size_t job, ExecMode mode, const Probe &probe)
         return false;
     checks_.fetch_add(1);
 
-    const std::uint64_t t0 = threadCpuNs();
     bool diverged = false;
     DivergenceReport report;
     try {
@@ -144,10 +133,8 @@ Sentinel::check(std::size_t job, ExecMode mode, const Probe &probe)
         probeErrors_.fetch_add(1);
         warn("sentinel: probe for job ", job, " failed (", e.what(),
              "); check voided");
-        probeNs_.fetch_add(threadCpuNs() - t0);
         return false;
     }
-    probeNs_.fetch_add(threadCpuNs() - t0);
 
     if (!diverged)
         return false;
@@ -176,12 +163,6 @@ Sentinel::reports() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return reports_;
-}
-
-double
-Sentinel::probeSeconds() const
-{
-    return static_cast<double>(probeNs_.load()) * 1e-9;
 }
 
 std::string

@@ -241,9 +241,6 @@ class Sentinel
     std::uint64_t divergences() const { return divergences_.load(); }
     std::uint64_t probeErrors() const { return probeErrors_.load(); }
 
-    /** Host CPU seconds spent inside probes (overhead accounting). */
-    double probeSeconds() const;
-
     /** The `limitpp-divergence-v1` JSON blob (valid even when clean). */
     std::string reportJson() const;
 
@@ -260,7 +257,6 @@ class Sentinel
     std::atomic<std::uint64_t> checks_{0};
     std::atomic<std::uint64_t> divergences_{0};
     std::atomic<std::uint64_t> probeErrors_{0};
-    std::atomic<std::uint64_t> probeNs_{0};
     mutable std::mutex mutex_;
     std::vector<DivergenceReport> reports_;
 };

@@ -3,15 +3,17 @@
  * Divergence-sentinel tests: fingerprints agree across the execution
  * ladder on clean runs, ModeScope clamps narrow and never widen, an
  * injected replay corruption (corrupt-replay) is caught by the
- * sentinel's windowed cross-check, the fast path is quarantined, and
- * a guarded fan-out's accepted results match the per-op oracle
- * bit-for-bit after quarantine.
+ * sentinel's windowed cross-check, the fast path is quarantined, a
+ * guarded fan-out's accepted results match the per-op oracle
+ * bit-for-bit after quarantine, and a default check's probes simulate
+ * only a few 1/256 windows of the job they certify.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/bundle.hh"
 #include "analysis/campaign.hh"
@@ -20,6 +22,7 @@
 #include "guard/fingerprint.hh"
 #include "guard/sentinel.hh"
 #include "sim/machine.hh"
+#include "stream_job.hh"
 
 namespace limit {
 namespace {
@@ -193,13 +196,50 @@ TEST(SentinelTest, CleanRunPassesTheCrossCheck)
     EXPECT_FALSE(s.check(0, ExecMode::Superblock, probe));
     EXPECT_EQ(s.checksRun(), 1u);
     EXPECT_EQ(s.divergences(), 0u);
-    EXPECT_GT(s.probeSeconds(), 0.0);
     EXPECT_EQ(s.modeFor(ExecMode::Superblock), ExecMode::Superblock);
     // The JSON blob is valid (and empty of divergences) even when
     // clean; writeReport refuses to write it.
     EXPECT_NE(s.reportJson().find("limitpp-divergence-v1"),
               std::string::npos);
     EXPECT_FALSE(s.writeReport());
+}
+
+TEST(SentinelTest, ProbesSimulateUnderThreeWindowsOfTheJob)
+{
+    // The sentinel's cost in simulated work, not host time: a default
+    // check (windowDiv 256) probes the fast mode and the per-op
+    // oracle once each, so together they simulate about 2/256 of the
+    // job. The bound is 3/256.
+    if (!sim::batchedExecutionDefault())
+        GTEST_SKIP() << "batched execution force-disabled: no faster "
+                        "mode to cross-check";
+    const StreamJob job = runStreamJob();
+
+    guard::SentinelOptions so;
+    so.enabled = true;
+    so.reportPath.clear();
+    guard::Sentinel s(so);
+    std::vector<Fingerprint> probes;
+    const auto probe = [&](ExecMode m, std::uint64_t div) {
+        guard::ModeScope ms(m);
+        guard::ProbeScope ps(div);
+        runStreamJob();
+        probes.push_back(ps.fingerprint());
+        return ps.fingerprint();
+    };
+    EXPECT_FALSE(s.check(0, ExecMode::Superblock, probe));
+    EXPECT_EQ(s.checksRun(), 1u);
+    EXPECT_EQ(s.divergences(), 0u);
+    ASSERT_EQ(probes.size(), 2u);
+    std::uint64_t probed = 0;
+    for (const Fingerprint &fp : probes) {
+        EXPECT_EQ(fp.runs, 1u);
+        probed += fp.instructions;
+    }
+    EXPECT_GT(probed, 0u);
+    EXPECT_LT(probed * so.windowDiv, 3 * job.instructions)
+        << probed << " probe instructions for a job of "
+        << job.instructions;
 }
 
 TEST(SentinelTest, CorruptReplayIsDetectedAndQuarantined)

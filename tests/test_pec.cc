@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/bundle.hh"
 #include "os/kernel.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
 #include "sim/machine.hh"
+#include "stats/hdr_histogram.hh"
 
 namespace limit {
 namespace {
@@ -303,6 +305,36 @@ TEST(Pec, RemoveEventStopsCounting)
     });
     m.run();
     EXPECT_EQ(v, 0u);
+}
+
+TEST(Pec, FastReadLatencyIsPinned)
+{
+    // 20 000 back-to-back fast reads on one idle core, each read's
+    // guest-visible duration in simulated cycles. Every figure is
+    // exact. The percentiles are bucket bounds (110 and 111 share a
+    // bucket), so the minimum, maximum and sum are pinned as well:
+    // one extra instruction on the read path moves them.
+    analysis::SimBundle b(
+        analysis::BundleOptions::builder().cores(1).seed(1).build());
+    PecSession s(b.kernel());
+    s.addEvent(0, EventType::Cycles, true, true);
+    stats::HdrHistogram h;
+    b.kernel().spawn("probe", [&](Guest &g) -> Task<void> {
+        for (int i = 0; i < 20'000; ++i) {
+            const sim::Tick t0 = g.now();
+            co_await s.read(g, 0);
+            h.add(g.now() - t0);
+        }
+        co_return;
+    });
+    b.machine().run();
+    EXPECT_EQ(h.totalCount(), 20'000u);
+    EXPECT_EQ(h.quantile(0.5), 111u);
+    EXPECT_EQ(h.quantile(0.99), 125u);
+    EXPECT_EQ(h.quantile(0.999), 125u);
+    EXPECT_EQ(h.minValue(), 110u);
+    EXPECT_EQ(h.maxValue(), 386u);
+    EXPECT_EQ(h.totalValue(), 2'209'348u);
 }
 
 // ---------------------------------------------------------------------

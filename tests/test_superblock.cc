@@ -29,6 +29,7 @@
 #include "pec/pec.hh"
 #include "sim/machine.hh"
 #include "sim/superblock.hh"
+#include "stream_job.hh"
 #include "sync/mutex.hh"
 #include "trace/trace.hh"
 
@@ -435,6 +436,39 @@ TEST(SuperblockReplay, StreamingLoopBridgesStalls)
     // Bridges must vastly outnumber full teardowns: the entry-miss
     // path would imply the hint/re-entry machinery is broken.
     EXPECT_GT(sb.stallBridges, sb.entryMisses * 10);
+}
+
+// ---------------------------------------------------------------------
+// Fast-path shape on the one-core stream job: long scheduler rounds and
+// most ops retired through replay. Simulated counts, so exact floors.
+// ---------------------------------------------------------------------
+
+TEST(SuperblockReplay, StreamJobBatchesHundredsOfOpsPerRound)
+{
+    if (!sim::batchedExecutionDefault())
+        GTEST_SKIP() << "batched execution force-disabled";
+    const StreamJob job = runStreamJob();
+    ASSERT_GT(job.batchRounds, 0u);
+    EXPECT_GE(static_cast<double>(job.batchOps) /
+                  static_cast<double>(job.batchRounds),
+              100.0)
+        << job.batchOps << " ops in " << job.batchRounds << " rounds";
+}
+
+TEST(SuperblockReplay, StreamJobReplaysMostOps)
+{
+    if (!superblocksActive())
+        GTEST_SKIP() << "superblock execution force-disabled";
+    const StreamJob job = runStreamJob();
+    // A stall-bridged op runs through the full memory model, so it
+    // counts against replay.
+    const std::uint64_t replayable =
+        job.sb.opsReplayed + job.sb.opsRecorded + job.sb.stallBridges;
+    ASSERT_GT(replayable, 0u);
+    EXPECT_GE(static_cast<double>(job.sb.opsReplayed) /
+                  static_cast<double>(replayable),
+              0.85)
+        << job.sb.opsReplayed << " of " << replayable << " ops replayed";
 }
 
 } // namespace
