@@ -207,7 +207,7 @@ Sentinel::writeReport() const
         return false;
     FILE *f = std::fopen(options_.reportPath.c_str(), "w");
     if (f == nullptr) {
-        warn("sentinel: cannot write %s", options_.reportPath.c_str());
+        warn("sentinel: cannot write ", options_.reportPath);
         return false;
     }
     const std::string json = reportJson();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "base/json.hh"
 #include "os/sysno.hh"
@@ -133,9 +134,9 @@ Report::addSensitivity(const SensitivitySection &section)
 }
 
 void
-Report::addTimeline(const TimelineSection &section)
+Report::addTimeline(TimelineSection section)
 {
-    timeline_.push_back(section);
+    timeline_.push_back(std::move(section));
 }
 
 const Report::SyncSection *
@@ -316,7 +317,7 @@ Report::timelineAscii() const
         // per-tick instruction rate of its slice group.
         const std::size_t group = (slices + width - 1) / width;
         const std::size_t cols = (slices + group - 1) / group;
-        auto colRate = [&](const std::vector<sim::EventDeltas> &lane,
+        auto colRate = [&](std::span<const sim::EventDeltas> lane,
                            std::size_t col, sim::EventType ev) {
             const std::size_t lo = col * group;
             const std::size_t hi = std::min(slices, lo + group);

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,12 @@ class Report
      * deltas per fixed interval, plus the phase segmentation the
      * change-point detector derived from them (produced by
      * prof::buildTimeline from a sim::TimelineRecorder).
+     *
+     * `cores` views the recorder's finalized lanes rather than
+     * copying them, so the recorder must outlive the section (and
+     * every Report holding it) and must not be re-attached meanwhile.
+     * finalize is idempotent, so a finalized lane never resizes under
+     * a view.
      */
     struct TimelineSection
     {
@@ -126,7 +133,7 @@ class Report
         std::string name;
         std::uint64_t intervalTicks = 0;
         /** cores[core][slice]: exact event deltas for that interval. */
-        std::vector<std::vector<sim::EventDeltas>> cores;
+        std::vector<std::span<const sim::EventDeltas>> cores;
         std::vector<Phase> phases;
     };
 
@@ -169,8 +176,11 @@ class Report
     /** Attach one scenario's ranked sensitivity analysis. */
     void addSensitivity(const SensitivitySection &section);
 
-    /** Attach one run's exact interval timeline. */
-    void addTimeline(const TimelineSection &section);
+    /**
+     * Attach one run's exact interval timeline; its slices stay owned
+     * by the recorder (see TimelineSection).
+     */
+    void addTimeline(TimelineSection section);
 
     const SyncSection *sync(const std::string &name) const;
     const KernelSection *kernel(const std::string &name) const;

@@ -48,7 +48,7 @@ buildTimeline(const std::string &name,
     t.intervalTicks = recorder.interval();
     t.cores.reserve(recorder.numLanes());
     for (const auto &lane : recorder.lanes())
-        t.cores.push_back(lane.slices);
+        t.cores.emplace_back(lane.slices);
 
     const std::size_t slices = recorder.numSlices();
     if (slices == 0 || t.cores.empty())

@@ -27,7 +27,8 @@ inline constexpr double phaseChangeThreshold = 0.15;
 /**
  * Build a timeline section named `name` from `recorder`, which must
  * be finalized (Machine run complete, recorder.finalize(maxTime)
- * called). Copies the slice matrix and segments phases:
+ * called). The section's `cores` view the recorder's lanes, so the
+ * recorder must outlive it. Segments phases:
  *
  *  - each slice's feature vector is the machine-summed per-cycle rate
  *    of every non-cycle event (an all-idle slice is the zero vector);

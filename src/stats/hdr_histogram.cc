@@ -13,8 +13,13 @@ HdrHistogram::HdrHistogram(unsigned bucket_bits)
     : bucketBits_(bucket_bits)
 {
     panic_if(bucket_bits < 1 || bucket_bits > 16, "bad HdrHistogram bucketBits");
-    const unsigned sub = 1u << bucket_bits;
-    counts_.assign(sub + (64 - bucket_bits) * sub, 0);
+}
+
+std::uint64_t
+HdrHistogram::bucket(unsigned idx) const
+{
+    panic_if(idx >= numBuckets(), "HdrHistogram bucket index out of range");
+    return idx < counts_.size() ? counts_[idx] : 0;
 }
 
 unsigned
@@ -56,7 +61,10 @@ HdrHistogram::add(std::uint64_t value, std::uint64_t weight)
 {
     if (weight == 0)
         return;
-    counts_[indexFor(value)] += weight;
+    const unsigned idx = indexFor(value);
+    if (idx >= counts_.size())
+        counts_.resize(idx + 1, 0);
+    counts_[idx] += weight;
     if (total_ == 0) {
         min_ = max_ = value;
     } else {
@@ -74,7 +82,9 @@ HdrHistogram::merge(const HdrHistogram &other)
              "merging HdrHistograms of different layout");
     if (other.total_ == 0)
         return;
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    if (other.counts_.size() > counts_.size())
+        counts_.resize(other.counts_.size(), 0);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
         counts_[i] += other.counts_[i];
     if (total_ == 0) {
         min_ = other.min_;
@@ -116,8 +126,24 @@ HdrHistogram::quantile(double q) const
 void
 HdrHistogram::clear()
 {
-    std::fill(counts_.begin(), counts_.end(), 0);
+    counts_ = {};
     total_ = sum_ = min_ = max_ = 0;
+}
+
+bool
+HdrHistogram::operator==(const HdrHistogram &other) const
+{
+    if (bucketBits_ != other.bucketBits_ || total_ != other.total_ ||
+        sum_ != other.sum_ || minValue() != other.minValue() ||
+        maxValue() != other.maxValue())
+        return false;
+    const std::size_t common = std::min(counts_.size(), other.counts_.size());
+    const auto zero = [](std::uint64_t c) { return c == 0; };
+    const auto &a = counts_;
+    const auto &b = other.counts_;
+    return std::equal(a.begin(), a.begin() + common, b.begin()) &&
+           std::all_of(a.begin() + common, a.end(), zero) &&
+           std::all_of(b.begin() + common, b.end(), zero);
 }
 
 std::string

@@ -10,6 +10,10 @@
  * serializes to JSON and its quantiles are deterministic integers —
  * both required for bit-identical profile output merged across
  * parallel runner jobs.
+ *
+ * Storage grows to the highest bucket recorded rather than holding the
+ * whole (65 - B) << B layout up front: a profile keeps two histograms
+ * per lock site, and almost all of a full layout would be zeros.
  */
 
 #ifndef LIMIT_STATS_HDR_HISTOGRAM_HH
@@ -41,10 +45,11 @@ class HdrHistogram
     void merge(const HdrHistogram &other);
 
     unsigned bucketBits() const { return bucketBits_; }
-    unsigned numBuckets() const { return static_cast<unsigned>(counts_.size()); }
+    /** Buckets in the layout, (65 - B) << B, whatever is stored. */
+    unsigned numBuckets() const { return (65u - bucketBits_) << bucketBits_; }
 
-    /** Weighted count in bucket idx. */
-    std::uint64_t bucket(unsigned idx) const { return counts_.at(idx); }
+    /** Weighted count in bucket idx; idx must be below numBuckets(). */
+    std::uint64_t bucket(unsigned idx) const;
 
     /** Bucket index a value lands in. */
     unsigned indexFor(std::uint64_t value) const;
@@ -72,6 +77,7 @@ class HdrHistogram
      */
     std::uint64_t quantile(double q) const;
 
+    /** Forget every sample and release the bucket storage. */
     void clear();
 
     /**
@@ -89,10 +95,12 @@ class HdrHistogram
      */
     std::string renderLog2(unsigned width = 50) const;
 
-    bool operator==(const HdrHistogram &other) const = default;
+    /** Equal content, however many buckets each side stores. */
+    bool operator==(const HdrHistogram &other) const;
 
   private:
     unsigned bucketBits_;
+    /** Buckets 0 .. highest recorded; the rest of the layout reads 0. */
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "analysis/bundle.hh"
+#include "exec_modes.hh"
 #include "fault/plan.hh"
 #include "guard/sentinel.hh"
 #include "os/sysno.hh"
@@ -209,9 +210,12 @@ runFaultedSpin(const std::string &faults)
 
 TEST(ChaosFaults, ArmedNonReplayPlansForceReplayRefusal)
 {
+    // With replay forced off (no-batch / no-superblock CI jobs) no
+    // run replays anything, armed or not.
+    const bool replays = superblocksActive();
     // Clean run: the spin loop retires through superblock replay.
     const SpinRun clean = runFaultedSpin("");
-    EXPECT_GT(clean.opsReplayed, 0u);
+    EXPECT_EQ(clean.opsReplayed > 0, replays);
     // Any armed plan that needs the per-op seams makes the machine
     // refuse replay outright — the faults would otherwise be skipped.
     const SpinRun refused =
@@ -221,7 +225,8 @@ TEST(ChaosFaults, ArmedNonReplayPlansForceReplayRefusal)
     // A pure corrupt-replay plan is the one armed plan that keeps the
     // cache on (corrupting it is the point).
     const SpinRun corrupting = runFaultedSpin("corrupt-replay:nth=0");
-    EXPECT_GT(corrupting.opsReplayed, 0u);
+    EXPECT_EQ(corrupting.opsReplayed > 0, replays);
+    EXPECT_EQ(corrupting.iters, clean.iters);
 }
 
 TEST(ChaosFaults, SentinelQuarantinesAndDegradedRunMatchesOracle)
@@ -237,13 +242,25 @@ TEST(ChaosFaults, SentinelQuarantinesAndDegradedRunMatchesOracle)
         runFaultedSpin("corrupt-replay:nth=0");
         return ps.fingerprint();
     };
-    // The corrupted replay path diverges from the per-op oracle and
-    // gets quarantined.
-    ASSERT_TRUE(
-        sentinel.check(0, guard::ExecMode::Superblock, probe));
+    const bool diverged =
+        sentinel.check(0, guard::ExecMode::Superblock, probe);
     const guard::ExecMode degraded =
         sentinel.modeFor(guard::ExecMode::Superblock);
-    EXPECT_EQ(degraded, guard::ExecMode::Batched);
+    if (superblocksActive()) {
+        // The corrupted replay path diverges from the per-op oracle
+        // and gets quarantined.
+        ASSERT_TRUE(diverged);
+        EXPECT_EQ(degraded, guard::ExecMode::Batched);
+    } else {
+        // Replay forced off: the plan has no commit to corrupt, so a
+        // batched check finds nothing and a forced per-op run has no
+        // faster mode to check at all. Nothing is quarantined.
+        EXPECT_FALSE(diverged);
+        EXPECT_EQ(sentinel.checksRun(),
+                  sim::batchedExecutionDefault() ? 1u : 0u);
+        EXPECT_EQ(sentinel.divergences(), 0u);
+        EXPECT_EQ(degraded, guard::ExecMode::Superblock);
+    }
 
     // The degraded run's ledger/PMU fingerprint is identical to the
     // oracle's: quarantine restores bit-exactness, not just "close".

@@ -14,6 +14,7 @@
 #include <tuple>
 
 #include "analysis/bundle.hh"
+#include "exec_modes.hh"
 #include "fault/explorer.hh"
 #include "fault/plan.hh"
 #include "os/sysno.hh"
@@ -448,13 +449,19 @@ TEST(FaultSites, CorruptReplayInflatesOnlyTheReplayPath)
     const auto [clean_iters, clean_instr, clean_inj] =
         run(false, true);
     const auto [bad_iters, bad_instr, bad_inj] = run(true, true);
-    // The corruption fired on replay commits, inflating only the
-    // Instructions ledger — guest progress is untouched, which is
-    // exactly why a table-level check can't catch it.
-    EXPECT_GT(bad_inj, 0u);
     EXPECT_EQ(clean_inj, 0u);
     EXPECT_EQ(bad_iters, clean_iters);
-    EXPECT_GT(bad_instr, clean_instr);
+    if (superblocksActive()) {
+        // The corruption fired on replay commits, inflating only the
+        // Instructions ledger — guest progress is untouched, which is
+        // exactly why a table-level check can't catch it.
+        EXPECT_GT(bad_inj, 0u);
+        EXPECT_GT(bad_instr, clean_instr);
+    } else {
+        // Replay forced off process-wide: nothing to corrupt.
+        EXPECT_EQ(bad_inj, 0u);
+        EXPECT_EQ(bad_instr, clean_instr);
+    }
 
     // With the replay cache clamped off, the same armed plan has no
     // commit to corrupt: the run is bit-identical to clean.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "analysis/bundle.hh"
 #include "analysis/campaign.hh"
 #include "base/json.hh"
+#include "exec_modes.hh"
 #include "fault/plan.hh"
 #include "guard/fingerprint.hh"
 #include "guard/sentinel.hh"
@@ -138,12 +140,18 @@ TEST(ModeScopeTest, ClampsNarrowAndNeverWiden)
         EXPECT_TRUE(sim::ScopedExecutionClamp::batchedAllowed());
     }
     EXPECT_TRUE(sim::ScopedExecutionClamp::superblocksAllowed());
-    EXPECT_EQ(guard::effectiveMode(ExecMode::Superblock),
-              ExecMode::Superblock);
+    // The process-wide defaults (forced off in the no-batch and
+    // no-superblock CI jobs) narrow every request too.
+    const ExecMode fastest = !sim::batchedExecutionDefault()
+        ? ExecMode::PerOp
+        : superblocksActive() ? ExecMode::Superblock : ExecMode::Batched;
+    EXPECT_EQ(guard::effectiveMode(ExecMode::Superblock), fastest);
+    EXPECT_EQ(guard::effectiveMode(ExecMode::PerOp), ExecMode::PerOp);
     {
         guard::ModeScope clamp(ExecMode::Batched);
         EXPECT_EQ(guard::effectiveMode(ExecMode::Superblock),
-                  ExecMode::Batched);
+                  fastest == ExecMode::PerOp ? ExecMode::PerOp
+                                             : ExecMode::Batched);
     }
 }
 
@@ -168,9 +176,11 @@ TEST(SentinelTest, SamplingAndSelfDisable)
     so.enabled = true;
     so.sampleEvery = 3;
     const guard::Sentinel s(so);
-    EXPECT_TRUE(s.shouldCheck(0, ExecMode::Superblock));
+    // With batching forced off every run is per-op: nothing to check.
+    const bool checkable = sim::batchedExecutionDefault();
+    EXPECT_EQ(s.shouldCheck(0, ExecMode::Superblock), checkable);
     EXPECT_FALSE(s.shouldCheck(1, ExecMode::Superblock));
-    EXPECT_TRUE(s.shouldCheck(3, ExecMode::Superblock));
+    EXPECT_EQ(s.shouldCheck(3, ExecMode::Superblock), checkable);
     // Per-op IS the oracle: nothing to cross-check.
     EXPECT_FALSE(s.shouldCheck(0, ExecMode::PerOp));
     {
@@ -194,7 +204,8 @@ TEST(SentinelTest, CleanRunPassesTheCrossCheck)
         return probeSpin(m, div);
     };
     EXPECT_FALSE(s.check(0, ExecMode::Superblock, probe));
-    EXPECT_EQ(s.checksRun(), 1u);
+    // Forced per-op leaves no faster mode, so no check runs.
+    EXPECT_EQ(s.checksRun(), sim::batchedExecutionDefault() ? 1u : 0u);
     EXPECT_EQ(s.divergences(), 0u);
     EXPECT_EQ(s.modeFor(ExecMode::Superblock), ExecMode::Superblock);
     // The JSON blob is valid (and empty of divergences) even when
@@ -202,6 +213,34 @@ TEST(SentinelTest, CleanRunPassesTheCrossCheck)
     EXPECT_NE(s.reportJson().find("limitpp-divergence-v1"),
               std::string::npos);
     EXPECT_FALSE(s.writeReport());
+}
+
+TEST(SentinelTest, UnwritableReportWarnsWithItsPath)
+{
+    // A directory cannot be opened for writing as the report file.
+    const std::string dir = ::testing::TempDir() + "limitpp_sentinel_dir";
+    std::filesystem::create_directories(dir);
+    guard::SentinelOptions so;
+    so.enabled = true;
+    so.reportPath = dir;
+    guard::Sentinel s(so);
+    // A fast mode that always disagrees with the per-op oracle.
+    const auto probe = [](ExecMode m, std::uint64_t) {
+        Fingerprint fp;
+        fp.mix(m == ExecMode::PerOp ? 1 : 2);
+        return fp;
+    };
+    // Forced per-op leaves nothing to check, hence nothing to report.
+    const bool diverged = s.check(0, ExecMode::Superblock, probe);
+    EXPECT_EQ(diverged, sim::batchedExecutionDefault());
+
+    ::testing::internal::CaptureStderr();
+    const bool written = s.writeReport();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(written);
+    EXPECT_EQ(log, diverged ? "warn: sentinel: cannot write " + dir + "\n"
+                            : std::string());
+    std::filesystem::remove(dir);
 }
 
 TEST(SentinelTest, ProbesSimulateUnderThreeWindowsOfTheJob)
@@ -255,6 +294,21 @@ TEST(SentinelTest, CorruptReplayIsDetectedAndQuarantined)
         // never replays) is untouched by the same plan.
         return probeSpin(m, div, "corrupt-replay:nth=0");
     };
+    if (!superblocksActive()) {
+        // Replay forced off: the plan has no commit to corrupt, so
+        // the check (if any mode is left to check) finds nothing and
+        // the report lists no divergence.
+        EXPECT_FALSE(s.check(0, ExecMode::Superblock, probe));
+        EXPECT_EQ(s.divergences(), 0u);
+        EXPECT_EQ(s.modeFor(ExecMode::Superblock), ExecMode::Superblock);
+        EXPECT_TRUE(s.reports().empty());
+        json::Value doc;
+        std::string err;
+        ASSERT_TRUE(json::parse(s.reportJson(), doc, &err)) << err;
+        ASSERT_NE(doc.find("divergences"), nullptr);
+        EXPECT_TRUE(doc.find("divergences")->items.empty());
+        return;
+    }
     EXPECT_TRUE(s.check(0, ExecMode::Superblock, probe));
     EXPECT_EQ(s.divergences(), 1u);
     // The fast path is quarantined for every later job...
@@ -293,7 +347,8 @@ TEST(GuardedJobTest, QuarantinedFanOutMatchesThePerOpOracle)
 {
     // Control: with the replay corruption armed and no sentinel, the
     // superblock fast path really does produce a wrong instruction
-    // count — otherwise this test proves nothing.
+    // count — otherwise this test proves nothing. With replay forced
+    // off there is no commit to corrupt and the run is already exact.
     const SpinResult corrupted = runSpin(1, "corrupt-replay:nth=0");
     SpinResult oracle;
     {
@@ -301,7 +356,10 @@ TEST(GuardedJobTest, QuarantinedFanOutMatchesThePerOpOracle)
         oracle = runSpin(1, "corrupt-replay:nth=0");
     }
     ASSERT_EQ(corrupted.iters, oracle.iters);
-    ASSERT_NE(corrupted.instr, oracle.instr);
+    if (superblocksActive())
+        ASSERT_NE(corrupted.instr, oracle.instr);
+    else
+        ASSERT_EQ(corrupted.instr, oracle.instr);
 
     // Guarded fan-out: the sentinel catches the divergence on the
     // first checked job, quarantines, and re-runs — so every accepted

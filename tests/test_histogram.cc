@@ -315,6 +315,68 @@ TEST(HdrHistogram, JsonRoundTripSingleBucket)
     expectJsonDescribes(h);
 }
 
+TEST(HdrHistogram, ClearedHistogramEqualsAFreshOne)
+{
+    // Storage grows to the highest recorded bucket; a histogram that
+    // once held 2^40 must still compare and serialize as fresh.
+    HdrHistogram h(5);
+    h.add(std::uint64_t{1} << 40, 3);
+    h.clear();
+    const HdrHistogram fresh(5);
+    EXPECT_EQ(h, fresh);
+    EXPECT_EQ(fresh, h);
+    EXPECT_EQ(h.toJson(), fresh.toJson());
+
+    HdrHistogram again(5);
+    h.add(9, 2);
+    again.add(9, 2);
+    EXPECT_EQ(h, again);
+    EXPECT_EQ(h.quantile(1.0), 9u);
+    EXPECT_EQ(h.toJson(), again.toJson());
+}
+
+TEST(HdrHistogram, MergeIsSymmetricAcrossStoredLengths)
+{
+    // `low` stores a few dozen buckets, `high` over a thousand.
+    HdrHistogram low(5), high(5), whole(5);
+    for (std::uint64_t v : {3ull, 17ull, 40ull}) {
+        low.add(v, 2);
+        whole.add(v, 2);
+    }
+    for (std::uint64_t v : {std::uint64_t{17}, std::uint64_t{1} << 40}) {
+        high.add(v, 5);
+        whole.add(v, 5);
+    }
+    HdrHistogram short_into_long = high;
+    short_into_long.merge(low);
+    HdrHistogram long_into_short = low;
+    long_into_short.merge(high);
+    EXPECT_EQ(short_into_long, long_into_short);
+    EXPECT_EQ(short_into_long, whole);
+    EXPECT_EQ(short_into_long.toJson(), long_into_short.toJson());
+    EXPECT_EQ(long_into_short.toJson(), whole.toJson());
+    EXPECT_EQ(long_into_short.quantile(1.0), std::uint64_t{1} << 40);
+    expectJsonDescribes(long_into_short);
+}
+
+TEST(HdrHistogram, BucketsPastTheHighestRecordedReadZero)
+{
+    HdrHistogram h(5);
+    h.add(100, 4);
+    EXPECT_EQ(h.numBuckets(), (65u - 5u) << 5u);
+    EXPECT_EQ(HdrHistogram(16).numBuckets(), (65u - 16u) << 16u);
+    EXPECT_EQ(h.bucket(h.indexFor(100)), 4u);
+    for (unsigned idx = h.indexFor(100) + 1; idx < h.numBuckets(); ++idx)
+        ASSERT_EQ(h.bucket(idx), 0u) << idx;
+    EXPECT_EQ(HdrHistogram(5).bucket(h.numBuckets() - 1), 0u);
+}
+
+TEST(HdrHistogramDeathTest, BucketPastTheLayoutFails)
+{
+    const HdrHistogram h(5);
+    EXPECT_DEATH(h.bucket(h.numBuckets()), "out of range");
+}
+
 TEST(HdrHistogram, RenderLog2GroupsByMagnitude)
 {
     HdrHistogram h;

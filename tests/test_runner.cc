@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -392,6 +393,37 @@ TEST(CampaignTest, StatusReporterCountsRetriesAndQuarantines)
     EXPECT_NE(line.find("\"batched\":1"), std::string::npos);
     EXPECT_NE(line.find("\"finished\":true"), std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(CampaignTest, DisabledStatusReporterWritesNothing)
+{
+    // With no status path the heartbeat is off: neither a bare
+    // reporter nor a default campaign may leave a file (such as the
+    // heartbeat's "<path>.tmp" with an empty path) in the cwd.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "limitpp_status_off";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+    {
+        analysis::StatusReporter s(std::string(), 2);
+        EXPECT_FALSE(s.enabled());
+        s.started();
+        s.finished(guard::ExecMode::Batched, 1, false, false);
+        s.flush();
+    }
+    const analysis::CampaignResult r =
+        analysis::Campaign(analysis::CampaignOptions{})
+            .run(2, campaign_jobs::job);
+    fs::current_path(cwd);
+    EXPECT_TRUE(r.ok());
+    std::vector<std::string> left;
+    for (const fs::directory_entry &e : fs::directory_iterator(dir))
+        left.push_back(e.path().filename().string());
+    EXPECT_TRUE(left.empty()) << left.front();
+    fs::remove_all(dir);
 }
 
 TEST(CampaignTest, PartialJournalResumeRunsOnlyTheMissingJobs)

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "analysis/bundle.hh"
+#include "exec_modes.hh"
 #include "fault/plan.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
@@ -60,19 +61,6 @@ builderFor(Mode mode)
     b.batched(mode != Mode::PerOp);
     b.superblocks(mode == Mode::Superblock);
     return b;
-}
-
-/**
- * True when a Mode::Superblock bundle can actually replay: the
- * process-wide defaults may be force-disabled by the no-batch /
- * no-superblock CI jobs, in which case the equivalence tests still
- * compare all three runs but replay-activity assertions must skip.
- */
-bool
-superblocksActive()
-{
-    return sim::batchedExecutionDefault() &&
-           sim::superblockExecutionDefault();
 }
 
 /** Everything observable about a finished run. */

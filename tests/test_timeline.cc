@@ -186,6 +186,30 @@ TEST(BuildTimeline, SegmentsSyntheticPhaseChange)
     EXPECT_NEAR(t.phases[0].ipc, 0.9, 1e-9);
 }
 
+TEST(BuildTimeline, CoresViewTheRecorderLanesWithoutCopying)
+{
+    analysis::SimBundle b = makeBundle(true, true);
+    runWorkload(b);
+    b.timeline()->finalize(b.machine().maxTime());
+    const prof::Report::TimelineSection t =
+        prof::buildTimeline("view", *b.timeline());
+    const auto &lanes = b.timeline()->lanes();
+    ASSERT_EQ(t.cores.size(), lanes.size());
+    for (std::size_t c = 0; c < lanes.size(); ++c) {
+        EXPECT_EQ(t.cores[c].data(), lanes[c].slices.data()) << c;
+        EXPECT_EQ(t.cores[c].size(), lanes[c].slices.size()) << c;
+    }
+
+    // The report keeps the same view, and a second finalize leaves
+    // the lanes where the view points.
+    prof::Report report;
+    report.addTimeline(t);
+    b.timeline()->finalize(b.machine().maxTime());
+    const auto &held = report.timelineSections().front().cores;
+    for (std::size_t c = 0; c < lanes.size(); ++c)
+        EXPECT_EQ(held[c].data(), lanes[c].slices.data()) << c;
+}
+
 TEST(BuildTimeline, IdleRecorderYieldsOneIdlePhase)
 {
     TimelineRecorder rec(512);
