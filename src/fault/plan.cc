@@ -402,7 +402,7 @@ PlanController::onSuperblockCommit(sim::Cpu &cpu, sim::ThreadId tid,
 
 sim::Tick
 PlanController::onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
-                             const std::uint64_t *word)
+                             sim::Addr addr)
 {
     for (Armed &a : armed_) {
         const FaultSpec &s = a.spec;
@@ -410,8 +410,7 @@ PlanController::onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
             continue;
         if (!due(a))
             continue;
-        note(cpu.id(), cpu.now(), tid, s.site,
-             reinterpret_cast<std::uint64_t>(word));
+        note(cpu.id(), cpu.now(), tid, s.site, addr);
         return s.ticks;
     }
     return 0;

@@ -185,7 +185,7 @@ class PlanController : public FaultController
     sim::Tick onSyscallEnter(sim::Cpu &cpu, sim::ThreadId tid,
                              std::uint32_t nr) override;
     sim::Tick onFutexBlock(sim::Cpu &cpu, sim::ThreadId tid,
-                           const std::uint64_t *word) override;
+                           sim::Addr addr) override;
     bool allowSuperblockReplay() const override;
     std::uint64_t onSuperblockCommit(sim::Cpu &cpu, sim::ThreadId tid,
                                      std::uint64_t opsReplayed) override;

@@ -19,14 +19,14 @@ enum Sys : std::uint32_t {
     /** Sleep: arg0 = duration in ticks. */
     sysSleep,
     /**
-     * Futex wait: arg0 = host word pointer, arg1 = expected value,
-     * arg2 = simulated address. Returns 0 when woken, 1 (EAGAIN) when
-     * the value did not match.
+     * Futex wait: arg0 = simulated address (the traced value), arg1 =
+     * expected value, arg2 = host word pointer. Returns 0 when woken,
+     * 1 (EAGAIN) when the value did not match.
      */
     sysFutexWait,
     /**
-     * Futex wake: arg0 = host word pointer, arg1 = max waiters to
-     * wake. Returns the number woken.
+     * Futex wake: arg0 = simulated address, arg1 = max waiters to
+     * wake, arg2 = host word pointer. Returns the number woken.
      */
     sysFutexWake,
     /** perf_event-style counter read: arg0 = counter idx. */

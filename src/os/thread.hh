@@ -66,6 +66,8 @@ class Thread
     sim::Tick wakeTick = 0;
     /** Host futex word the thread is blocked on. */
     const std::uint64_t *futexWord = nullptr;
+    /** Guest address of that word, for the spurious-wake record. */
+    sim::Addr futexAddr = 0;
     /** Value delivered as the blocking syscall's result at wake. */
     std::uint64_t wakeValue = 0;
 

@@ -307,7 +307,7 @@ Report::timelineAscii() const
     std::ostringstream os;
     for (const auto &t : timeline_) {
         const std::size_t slices =
-            t.cores.empty() ? 0 : t.cores.front().size();
+            t.cores.empty() ? 0 : t.cores.front()->size();
         os << "timeline '" << t.name << "': interval "
            << t.intervalTicks << " ticks, " << slices << " slices, "
            << t.cores.size() << " cores\n";
@@ -317,13 +317,13 @@ Report::timelineAscii() const
         // per-tick instruction rate of its slice group.
         const std::size_t group = (slices + width - 1) / width;
         const std::size_t cols = (slices + group - 1) / group;
-        auto colRate = [&](std::span<const sim::EventDeltas> lane,
+        auto colRate = [&](const sim::TimelineLane *lane,
                            std::size_t col, sim::EventType ev) {
             const std::size_t lo = col * group;
             const std::size_t hi = std::min(slices, lo + group);
             std::uint64_t n = 0;
             for (std::size_t s = lo; s < hi; ++s)
-                n += lane[s][ev];
+                n += lane->count(s, ev);
             return static_cast<double>(n) /
                    (static_cast<double>(hi - lo) *
                     static_cast<double>(t.intervalTicks));
@@ -601,7 +601,7 @@ Report::toJson() const
     first = true;
     for (const auto &t : timeline_) {
         const std::uint64_t slices =
-            t.cores.empty() ? 0 : t.cores.front().size();
+            t.cores.empty() ? 0 : t.cores.front()->size();
         os << (first ? "" : ",") << "\n    {\n      \"name\": "
            << quoted(t.name) << ",\n      \"interval_ticks\": "
            << t.intervalTicks << ",\n      \"num_cores\": "
@@ -617,8 +617,10 @@ Report::toJson() const
         for (std::size_t c = 0; c < t.cores.size(); ++c) {
             os << (first_core ? "" : ",") << "\n        {\"core\": "
                << c << ", \"slices\": [";
+            const sim::TimelineLane &lane = *t.cores[c];
             bool first_slice = true;
-            for (const auto &d : t.cores[c]) {
+            for (std::size_t s = 0; s < lane.size(); ++s) {
+                const sim::EventDeltas d = lane[s];
                 os << (first_slice ? "" : ",") << "\n          [";
                 for (unsigned e = 0; e < sim::numEventTypes; ++e) {
                     os << (e ? ", " : "")
@@ -627,7 +629,7 @@ Report::toJson() const
                 os << "]";
                 first_slice = false;
             }
-            os << (t.cores[c].empty() ? "" : "\n        ") << "]}";
+            os << (lane.empty() ? "" : "\n        ") << "]}";
             first_core = false;
         }
         os << (t.cores.empty() ? "" : "\n      ")

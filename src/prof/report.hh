@@ -20,11 +20,11 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "pec/region.hh"
+#include "sim/timeline.hh"
 #include "sim/types.hh"
 #include "prof/kernel_profile.hh"
 #include "prof/sync_profile.hh"
@@ -109,10 +109,10 @@ class Report
      * change-point detector derived from them (produced by
      * prof::buildTimeline from a sim::TimelineRecorder).
      *
-     * `cores` views the recorder's finalized lanes rather than
+     * `cores` points at the recorder's finalized lanes rather than
      * copying them, so the recorder must outlive the section (and
      * every Report holding it) and must not be re-attached meanwhile.
-     * finalize is idempotent, so a finalized lane never resizes under
+     * finalize is idempotent, so a finalized lane never changes under
      * a view.
      */
     struct TimelineSection
@@ -132,8 +132,8 @@ class Report
 
         std::string name;
         std::uint64_t intervalTicks = 0;
-        /** cores[core][slice]: exact event deltas for that interval. */
-        std::vector<std::span<const sim::EventDeltas>> cores;
+        /** (*cores[core])[slice]: exact event deltas for that interval. */
+        std::vector<const sim::TimelineLane *> cores;
         std::vector<Phase> phases;
     };
 

@@ -18,8 +18,8 @@ sim::EventDeltas
 sliceSum(const Report::TimelineSection &t, std::size_t slice)
 {
     sim::EventDeltas v{};
-    for (const auto &lane : t.cores)
-        v += lane[slice];
+    for (const sim::TimelineLane *lane : t.cores)
+        v += (*lane)[slice];
     return v;
 }
 
@@ -48,7 +48,7 @@ buildTimeline(const std::string &name,
     t.intervalTicks = recorder.interval();
     t.cores.reserve(recorder.numLanes());
     for (const auto &lane : recorder.lanes())
-        t.cores.emplace_back(lane.slices);
+        t.cores.push_back(&lane);
 
     const std::size_t slices = recorder.numSlices();
     if (slices == 0 || t.cores.empty())

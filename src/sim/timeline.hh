@@ -23,6 +23,7 @@
 #ifndef LIMIT_SIM_TIMELINE_HH
 #define LIMIT_SIM_TIMELINE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -34,26 +35,146 @@ namespace limit::sim {
 /**
  * One core's accumulation lane. `cur` collects deltas for the slice
  * `curIndex`; Cpu::tlRoll flushes it when the clock crosses the next
- * boundary. Plain struct: the Cpu hot path pokes it directly.
+ * boundary. The hot path pokes `cur` and `curIndex` directly and only
+ * flush() touches the committed slices.
+ *
+ * Committed slices are stored as one column per event, each at the
+ * narrowest width (1, 2, 4 or 8 bytes) that holds every value written
+ * to it so far. A column widens in place, exactly, the first time a
+ * value does not fit, so reads always return the exact count. Most
+ * slices carry a few small counts, so a lane costs a fraction of a
+ * dense `EventDeltas` (88 B) per slice.
  */
-struct TimelineLane
+class TimelineLane
 {
-    /** Committed slices; index i covers ticks [i*interval, (i+1)*interval). */
-    std::vector<EventDeltas> slices;
+  public:
     /** In-flight accumulator for slice curIndex. */
     EventDeltas cur{};
     /** Slice `cur` belongs to. */
     std::uint64_t curIndex = 0;
 
-    /** Fold `cur` into its slice (growing as needed) and zero it. */
+    /**
+     * Committed slice count; slice i covers ticks
+     * [i*interval, (i+1)*interval).
+     */
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Exact count of `e` in slice `s` (s < size()). */
+    std::uint64_t
+    count(std::size_t s, EventType e) const
+    {
+        return cols_[static_cast<unsigned>(e)].get(s);
+    }
+
+    /** Every event's count in slice `s` (s < size()). */
+    EventDeltas
+    operator[](std::size_t s) const
+    {
+        EventDeltas d;
+        for (unsigned e = 0; e < numEventTypes; ++e)
+            d.counts[e] = cols_[e].get(s);
+        return d;
+    }
+
+    /** Host bytes the committed slices occupy, spare capacity aside. */
+    std::size_t
+    storageBytes() const
+    {
+        std::size_t n = 0;
+        for (const Column &c : cols_)
+            n += c.bytes();
+        return n;
+    }
+
+    /**
+     * Add `cur` into its slice, zero-filling any slices skipped since
+     * the last flush, and zero `cur`.
+     */
     void
     flush()
     {
-        if (curIndex >= slices.size())
-            slices.resize(curIndex + 1);
-        slices[static_cast<std::size_t>(curIndex)] += cur;
+        pad(static_cast<std::size_t>(curIndex) + 1);
+        for (unsigned e = 0; e < numEventTypes; ++e) {
+            if (cur.counts[e] != 0)
+                cols_[e].add(static_cast<std::size_t>(curIndex),
+                             cur.counts[e]);
+        }
         cur = EventDeltas{};
     }
+
+    /** Grow to at least `n` slices; new slices read zero. */
+    void
+    pad(std::size_t n)
+    {
+        if (n <= size_)
+            return;
+        for (Column &c : cols_)
+            c.resize(n);
+        size_ = n;
+    }
+
+  private:
+    /** One event's slice values, little-endian, `width_` bytes each. */
+    class Column
+    {
+      public:
+        std::uint64_t get(std::size_t i) const { return load(i, width_); }
+
+        void
+        add(std::size_t i, std::uint64_t delta)
+        {
+            const std::uint64_t v = get(i) + delta;
+            unsigned w = width_;
+            while (w < 8 && (v >> (8 * w)) != 0)
+                w *= 2;
+            if (w > width_)
+                widen(w);
+            store(i, v, w);
+        }
+
+        void resize(std::size_t n) { bytes_.resize(n * width_); }
+
+        std::size_t bytes() const { return bytes_.size(); }
+
+      private:
+        std::uint64_t
+        load(std::size_t i, unsigned w) const
+        {
+            std::uint64_t v = 0;
+            for (unsigned b = 0; b < w; ++b)
+                v |= std::uint64_t{bytes_[i * w + b]} << (8 * b);
+            return v;
+        }
+
+        void
+        store(std::size_t i, std::uint64_t v, unsigned w)
+        {
+            for (unsigned b = 0; b < w; ++b)
+                bytes_[i * w + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        }
+
+        /**
+         * Re-encode every slot at width `w` in place. Walking from the
+         * last slot down never overwrites a slot not yet moved: slot i
+         * lands at i*w, at or past its old offset i*width_.
+         */
+        void
+        widen(unsigned w)
+        {
+            const std::size_t n = bytes_.size() / width_;
+            bytes_.resize(n * w);
+            for (std::size_t i = n; i-- > 0;)
+                store(i, load(i, width_), w);
+            width_ = w;
+        }
+
+        std::vector<std::uint8_t> bytes_;
+        unsigned width_ = 1;
+    };
+
+    std::array<Column, numEventTypes> cols_;
+    std::size_t size_ = 0;
 };
 
 /**
@@ -106,8 +227,7 @@ class TimelineRecorder
             static_cast<std::size_t>(max_time / interval_) + 1;
         for (auto &lane : lanes_) {
             lane.flush();
-            if (lane.slices.size() < n)
-                lane.slices.resize(n);
+            lane.pad(n);
         }
         finalized_ = true;
     }
@@ -117,7 +237,7 @@ class TimelineRecorder
     std::size_t
     numSlices() const
     {
-        return lanes_.empty() ? 0 : lanes_.front().slices.size();
+        return lanes_.empty() ? 0 : lanes_.front().size();
     }
 
     const std::vector<TimelineLane> &lanes() const { return lanes_; }

@@ -1,6 +1,10 @@
 /**
  * @file
  * Thin guest-side wrappers over the kernel futex syscalls.
+ *
+ * Argument layout: args[0] is the word's guest address (what traces
+ * and fault records show, so they do not depend on host heap layout),
+ * args[2] the host word the kernel checks and keys its queues on.
  */
 
 #ifndef LIMIT_SYNC_FUTEX_HH
@@ -24,7 +28,7 @@ futexWait(sim::Guest &g, std::uint64_t *word, sim::Addr addr,
 {
     const std::uint64_t r = co_await g.syscall(
         os::sysFutexWait,
-        {reinterpret_cast<std::uint64_t>(word), expected, addr, 0});
+        {addr, expected, reinterpret_cast<std::uint64_t>(word), 0});
     co_return r;
 }
 
@@ -35,7 +39,7 @@ futexWake(sim::Guest &g, std::uint64_t *word, sim::Addr addr,
 {
     const std::uint64_t r = co_await g.syscall(
         os::sysFutexWake,
-        {reinterpret_cast<std::uint64_t>(word), count, addr, 0});
+        {addr, count, reinterpret_cast<std::uint64_t>(word), 0});
     co_return r;
 }
 

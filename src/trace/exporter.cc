@@ -157,19 +157,18 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
         const sim::TimelineRecorder &tl = *options.timeline;
         sim::EventDeltas any{};
         for (const auto &lane : tl.lanes()) {
-            for (const auto &slice : lane.slices)
-                any += slice;
+            for (std::size_t s = 0; s < lane.size(); ++s)
+                any += lane[s];
         }
         for (unsigned core = 0; core < tl.numLanes(); ++core) {
-            const auto &slices = tl.lanes()[core].slices;
+            const sim::TimelineLane &lane = tl.lanes()[core];
             for (unsigned e = 0; e < sim::numEventTypes; ++e) {
                 if (any.counts[e] == 0)
                     continue;
+                const auto ev = static_cast<sim::EventType>(e);
                 const std::string track =
-                    "tl-" +
-                    std::string(sim::eventName(
-                        static_cast<sim::EventType>(e)));
-                for (std::size_t s = 0; s < slices.size(); ++s) {
+                    "tl-" + std::string(sim::eventName(ev));
+                for (std::size_t s = 0; s < lane.size(); ++s) {
                     std::snprintf(
                         ts, sizeof ts, "%.6f",
                         sim::ticksToNs(static_cast<sim::Tick>(s) *
@@ -180,7 +179,7 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
                        << "\", \"ph\": \"C\", \"ts\": " << ts
                        << ", \"pid\": " << core
                        << ", \"args\": {\"value\": "
-                       << slices[s].counts[e] << "}}";
+                       << lane.count(s, ev) << "}}";
                 }
             }
         }

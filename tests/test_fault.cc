@@ -512,7 +512,7 @@ TEST(FaultSites, SpuriousWakeReleasesAFutexWaiterEarly)
     b.kernel().spawn("waiter", [&](Guest &g) -> Task<void> {
         const std::uint64_t r = co_await g.syscall(
             os::sysFutexWait,
-            {reinterpret_cast<std::uint64_t>(word.get()), 0, 0, 0});
+            {0, 0, reinterpret_cast<std::uint64_t>(word.get()), 0});
         waiter_result = r;
     });
     // No waker thread at all: without the injected spurious wake this

@@ -75,9 +75,9 @@ flattenLanes(const TimelineRecorder &recorder)
 {
     std::vector<std::uint64_t> out;
     for (const sim::TimelineLane &lane : recorder.lanes())
-        for (const EventDeltas &d : lane.slices)
+        for (std::size_t s = 0; s < lane.size(); ++s)
             for (unsigned e = 0; e < sim::numEventTypes; ++e)
-                out.push_back(d.counts[e]);
+                out.push_back(lane[s].counts[e]);
     return out;
 }
 
@@ -117,8 +117,8 @@ TEST(TimelineRecorder, SliceSumsConserveEveryEventExactly)
     // sampling of it.
     EventDeltas sliced{};
     for (const sim::TimelineLane &lane : b.timeline()->lanes())
-        for (const EventDeltas &d : lane.slices)
-            sliced += d;
+        for (std::size_t s = 0; s < lane.size(); ++s)
+            sliced += lane[s];
     for (unsigned e = 0; e < sim::numEventTypes; ++e) {
         const auto ev = static_cast<EventType>(e);
         EXPECT_EQ(sliced.counts[e], analysis::totalEvent(b.kernel(), ev))
@@ -137,11 +137,87 @@ TEST(TimelineRecorder, FinalizePadsEveryLaneToTheMachineClock)
     EXPECT_TRUE(tl->finalized());
     EXPECT_EQ(tl->numSlices(), expect);
     for (const sim::TimelineLane &lane : tl->lanes())
-        EXPECT_EQ(lane.slices.size(), expect);
+        EXPECT_EQ(lane.size(), expect);
     // Idempotent: a second finalize changes nothing.
     const std::vector<std::uint64_t> before = flattenLanes(*tl);
     tl->finalize(b.machine().maxTime());
     EXPECT_EQ(flattenLanes(*tl), before);
+}
+
+TEST(TimelineLane, ColumnsWidenExactlyAndMatchADenseReference)
+{
+    TimelineRecorder rec(1000);
+    rec.attach(1);
+    sim::TimelineLane &lane = rec.lane(0);
+    std::vector<EventDeltas> dense(6);
+    auto add = [&](std::uint64_t slice, EventType e, std::uint64_t v) {
+        lane.curIndex = slice;
+        lane.cur[e] += v;
+        dense[slice][e] += v;
+    };
+
+    // Byte-sized values first, so every column starts one byte wide.
+    add(1, EventType::Cycles, 3);
+    add(1, EventType::Loads, 200);
+    add(1, EventType::Branches, 5);
+    lane.flush();
+    // Slice 2 is skipped (zero-filled); each value here needs the next
+    // width up, and Branches jumps straight from 1 to 8 bytes.
+    add(3, EventType::Cycles, (1ull << 8) - 1);
+    add(3, EventType::Instructions, 1ull << 8);
+    add(3, EventType::Loads, 1ull << 16);
+    add(3, EventType::Stores, 1ull << 32);
+    add(3, EventType::Branches, 1ull << 40);
+    lane.flush();
+    // A second flush into the same slice carries two columns over
+    // their current width: 255 + 1 and 2^16 + (2^32 - 2^16).
+    add(3, EventType::Cycles, 1);
+    add(3, EventType::Loads, (1ull << 32) - (1ull << 16));
+    add(3, EventType::Branches, 1);
+    lane.flush();
+    rec.finalize(5999); // pads to 6 slices
+
+    ASSERT_EQ(lane.size(), dense.size());
+    for (std::size_t s = 0; s < dense.size(); ++s) {
+        const EventDeltas d = lane[s];
+        for (unsigned e = 0; e < sim::numEventTypes; ++e) {
+            const auto ev = static_cast<EventType>(e);
+            EXPECT_EQ(lane.count(s, ev), dense[s].counts[e])
+                << "slice " << s << " " << sim::eventName(ev);
+            EXPECT_EQ(d.counts[e], dense[s].counts[e])
+                << "slice " << s << " " << sim::eventName(ev);
+        }
+    }
+    EXPECT_EQ(lane.count(3, EventType::Cycles), 1ull << 8);
+    EXPECT_EQ(lane.count(3, EventType::Loads), 1ull << 32);
+    EXPECT_EQ(lane.count(3, EventType::Branches), (1ull << 40) + 1);
+    EXPECT_EQ(lane.count(1, EventType::Branches), 5u);
+}
+
+TEST(TimelineLane, StoresEachColumnAtItsOwnWidth)
+{
+    constexpr std::size_t slices = 100;
+    TimelineRecorder rec(1000);
+    rec.attach(1);
+    sim::TimelineLane &lane = rec.lane(0);
+    for (std::size_t s = 0; s < slices; ++s) {
+        lane.curIndex = s;
+        for (unsigned e = 0; e < sim::numEventTypes; ++e)
+            lane.cur.counts[e] = 255 - (s + e) % 255;
+        lane.flush();
+    }
+    // Every count, 255 included, fits in a byte: one byte per event
+    // per slice (11 B against the 88 B of a dense EventDeltas).
+    EXPECT_EQ(lane.storageBytes(), slices * sim::numEventTypes);
+
+    // One large count widens only its own column, to four bytes.
+    lane.curIndex = 50;
+    lane.cur[EventType::Cycles] = 70'000;
+    lane.flush();
+    EXPECT_EQ(lane.storageBytes(),
+              slices * (sim::numEventTypes - 1) + slices * 4);
+    EXPECT_EQ(lane.count(50, EventType::Cycles), 205u + 70'000u);
+    EXPECT_EQ(lane.count(49, EventType::Cycles), 206u);
 }
 
 TEST(TimelineRecorderDeathTest, RejectsZeroInterval)
@@ -175,7 +251,7 @@ TEST(BuildTimeline, SegmentsSyntheticPhaseChange)
     const prof::Report::TimelineSection t =
         prof::buildTimeline("synthetic", rec);
     ASSERT_EQ(t.cores.size(), 1u);
-    ASSERT_EQ(t.cores[0].size(), 8u);
+    ASSERT_EQ(t.cores[0]->size(), 8u);
     ASSERT_EQ(t.phases.size(), 2u);
     EXPECT_EQ(t.phases[0].firstSlice, 0u);
     EXPECT_EQ(t.phases[0].numSlices, 4u);
@@ -195,10 +271,8 @@ TEST(BuildTimeline, CoresViewTheRecorderLanesWithoutCopying)
         prof::buildTimeline("view", *b.timeline());
     const auto &lanes = b.timeline()->lanes();
     ASSERT_EQ(t.cores.size(), lanes.size());
-    for (std::size_t c = 0; c < lanes.size(); ++c) {
-        EXPECT_EQ(t.cores[c].data(), lanes[c].slices.data()) << c;
-        EXPECT_EQ(t.cores[c].size(), lanes[c].slices.size()) << c;
-    }
+    for (std::size_t c = 0; c < lanes.size(); ++c)
+        EXPECT_EQ(t.cores[c], &lanes[c]) << c;
 
     // The report keeps the same view, and a second finalize leaves
     // the lanes where the view points.
@@ -206,8 +280,9 @@ TEST(BuildTimeline, CoresViewTheRecorderLanesWithoutCopying)
     report.addTimeline(t);
     b.timeline()->finalize(b.machine().maxTime());
     const auto &held = report.timelineSections().front().cores;
+    ASSERT_EQ(held.size(), lanes.size());
     for (std::size_t c = 0; c < lanes.size(); ++c)
-        EXPECT_EQ(held[c].data(), lanes[c].slices.data()) << c;
+        EXPECT_EQ(held[c], &lanes[c]) << c;
 }
 
 TEST(BuildTimeline, IdleRecorderYieldsOneIdlePhase)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -17,8 +18,10 @@
 #include "analysis/runner.hh"
 #include "analysis/trace_report.hh"
 #include "base/json.hh"
+#include "fault/plan.hh"
 #include "os/sysno.hh"
 #include "pec/pec.hh"
+#include "sync/mutex.hh"
 #include "trace/exporter.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
@@ -326,6 +329,61 @@ TEST(TraceIntegration, PecTracepointsFireUnderNarrowCounters)
     EXPECT_GT(t->count(TraceEvent::CounterOverflow), 0u);
     EXPECT_GT(t->count(TraceEvent::PmiDelivered), 0u);
     EXPECT_GT(t->count(TraceEvent::PecOverflowFixup), 0u);
+}
+
+/**
+ * Chrome trace of four threads contending for `mu` on two cores, with
+ * one spurious futex wakeup injected.
+ */
+std::string
+futexContendedTrace(sync::Mutex &mu)
+{
+    analysis::SimBundle b(analysis::BundleOptions::builder()
+                              .cores(2)
+                              .seed(7)
+                              .traceCapacity(1 << 14)
+                              .build());
+    for (unsigned i = 0; i < 4; ++i) {
+        b.kernel().spawn("w" + std::to_string(i),
+                         [&mu](sim::Guest &g) -> sim::Task<void> {
+                             for (unsigned j = 0; j < 40; ++j) {
+                                 co_await mu.lock(g);
+                                 co_await g.compute(2'000);
+                                 co_await mu.unlock(g);
+                                 co_await g.compute(200);
+                             }
+                         });
+    }
+    fault::Plan plan;
+    fault::FaultSpec spurious;
+    spurious.site = fault::Site::SpuriousWake;
+    spurious.ticks = 1'000;
+    plan.add(spurious);
+    fault::PlanController faults(b.machine(), plan);
+    b.machine().setFaults(&faults);
+    b.machine().run();
+
+    const trace::Tracer &t = *b.tracer();
+    EXPECT_GT(t.count(TraceEvent::FutexWait), 0u);
+    EXPECT_GT(t.count(TraceEvent::FutexWake), 0u);
+    EXPECT_EQ(faults.injectedAt(fault::Site::SpuriousWake), 1u);
+    trace::ExportOptions opts;
+    opts.syscallName = os::sysName;
+    std::ostringstream out;
+    trace::writeChromeTrace(out, t, nullptr, opts);
+    return out.str();
+}
+
+TEST(TraceIntegration, FutexTraceDoesNotDependOnHostAddresses)
+{
+    // Both mutexes stay alive, so their host futex words differ; the
+    // trace must show only the guest address they share.
+    auto first = std::make_unique<sync::Mutex>(0x9000);
+    auto second = std::make_unique<sync::Mutex>(0x9000);
+    const std::string a = futexContendedTrace(*first);
+    const std::string b = futexContendedTrace(*second);
+    EXPECT_NE(a.find("\"futex-wait\""), std::string::npos);
+    EXPECT_EQ(a, b);
 }
 
 TEST(TraceIntegration, UntracedBundleRecordsNothing)
